@@ -4,11 +4,22 @@
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use protemp::{AssignmentContext, ControlConfig};
 use protemp_bench::platform;
 use protemp_floorplan::niagara::niagara8;
 use protemp_linalg::{expm, Cholesky, Lu, Matrix};
+use protemp_sim::Platform;
 use protemp_thermal::{AffineReach, DiscreteModel, IntegrationMethod, RcNetwork, ThermalConfig};
 use protemp_workload::{BenchmarkProfile, TraceGenerator};
+
+/// The packed linear rows of a platform's Phase-1 problem family: the
+/// matrix every Newton step's row-space kernels run over.
+fn family_rows(p: &Platform) -> Matrix {
+    let ctx = AssignmentContext::new(p, &ControlConfig::default()).expect("context");
+    let proto = ctx.family().prototype();
+    let rows: Vec<&[f64]> = proto.lin_rows().iter().map(Vec::as_slice).collect();
+    Matrix::from_rows(&rows)
+}
 
 fn bench(c: &mut Criterion) {
     let net = RcNetwork::from_floorplan(&niagara8(), &ThermalConfig::default());
@@ -53,6 +64,36 @@ fn bench(c: &mut Criterion) {
     g.bench_function("lu_37", |b| {
         b.iter(|| Lu::factor(black_box(&spd)).expect("lu"))
     });
+    // The Newton step's row-space kernels at the hot-path shapes: the
+    // `AᵀDA` assembly and the slack matvec over every family row.
+    for (p, shape, with_matvec) in [
+        (Platform::niagara8(), (4835, 17), true),
+        (Platform::stacked3d(), (2619, 9), false),
+    ] {
+        let a = family_rows(&p);
+        assert_eq!(
+            a.shape(),
+            shape,
+            "family row shape moved; rename the benches"
+        );
+        let (m, n) = shape;
+        let rows: Vec<usize> = (0..m).collect();
+        let w: Vec<f64> = (0..m).map(|i| 1.0 + (i % 7) as f64 * 0.1).collect();
+        let mut h = Matrix::zeros(n, n);
+        g.bench_function(format!("syrk_rows_{m}x{n}"), |b| {
+            b.iter(|| {
+                h.set_zero();
+                h.syrk_lower_update_rows(&a, &rows, black_box(&w));
+            })
+        });
+        if with_matvec {
+            let x: Vec<f64> = (0..n).map(|j| 0.5 + j as f64 * 0.01).collect();
+            let mut y = vec![0.0; m];
+            g.bench_function(format!("matvec_rows_{m}x{n}"), |b| {
+                b.iter(|| a.matvec_rows_into(&rows, black_box(&x), &mut y))
+            });
+        }
+    }
     g.bench_function("expm_37", |b| {
         b.iter(|| expm(black_box(&net.system_matrix().scale(-0.4e-3))).expect("expm"))
     });

@@ -457,6 +457,10 @@ fn fault_campaign_section(table: &FrequencyTable) -> String {
 
 fn quick_run() {
     let ctx = AssignmentContext::new(&platform(), &control_config()).expect("ctx");
+    // The sweep-shared family is a one-time build, reported once as
+    // `family_build_s`; build it before the first timed section so that
+    // section times only its own sweep.
+    ctx.family();
     let (table, stats) = quick_grid().build(&ctx).expect("quick build");
     let (plain, plain_stats) = quick_grid()
         .certificate_screening(false)
@@ -646,6 +650,8 @@ fn main() {
         return;
     }
     let ctx = AssignmentContext::new(&platform(), &control_config()).expect("ctx");
+    // One-time family build, outside every timed section (see `quick_run`).
+    ctx.family();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores == 1 {
         println!(

@@ -359,13 +359,18 @@ impl Dense<'_> {
         }
     }
 
+    /// `y = Ax` over the active rows (`y` has length [`Dense::num_lin`]).
+    fn lin_apply_into(&self, x: &[f64], y: &mut [f64]) {
+        match self.rows {
+            Some(r) => self.a.matvec_rows_into(r, x, y),
+            None => self.a.matvec_into(x, y),
+        }
+    }
+
     /// Active slacks `s = b − Ax` written into `slack` (length
     /// [`Dense::num_lin`]).
     fn slacks_into(&self, x: &[f64], slack: &mut [f64]) {
-        match self.rows {
-            Some(r) => self.a.matvec_rows_into(r, x, slack),
-            None => self.a.matvec_into(x, slack),
-        }
+        self.lin_apply_into(x, slack);
         for (sl, &bi) in slack.iter_mut().zip(self.b) {
             *sl = bi - *sl;
         }
@@ -413,15 +418,17 @@ impl Dense<'_> {
         quad + vecops::dot(self.q0, x)
     }
 
-    /// Barrier function `t·f₀(x) − Σ log(sᵢ)`; `None` if any slack ≤ 0.
-    fn barrier_value(&self, t: f64, x: &[f64]) -> Option<f64> {
+    /// Barrier function `t·f₀(x) − Σ log(sᵢ)` from the linear rows' logs
+    /// `ln_slack` (aligned with the active rows, as [`log_into`] writes
+    /// them); `None` if any slack ≤ 0.
+    ///
+    /// A linear slack ≤ 0 has a log of `−∞` or NaN, which leaves the sum
+    /// non-finite, so the final finiteness test rejects it exactly as an
+    /// explicit slack test would.
+    fn barrier_value(&self, t: f64, x: &[f64], ln_slack: &[f64]) -> Option<f64> {
         let mut v = t * self.objective(x);
-        for i in 0..self.num_lin() {
-            let s = self.b[i] - vecops::dot(self.lin_row(i), x);
-            if s <= 0.0 {
-                return None;
-            }
-            v -= s.ln();
+        for &l in ln_slack {
+            v -= l;
         }
         for q in self.quad {
             let s = -q.eval(x);
@@ -439,15 +446,23 @@ impl Dense<'_> {
     /// instead of at `α = 1` matters when `x` hugs the boundary — a warm
     /// start from a neighbouring optimum — where a full Newton step lands
     /// far outside the region and Armijo would shrink `α` to nothing.
-    /// `tmp` is clobbered (a length-`n` buffer). Allocation-free.
-    fn max_step(&self, x: &[f64], dx: &[f64], tmp: &mut [f64]) -> f64 {
+    ///
+    /// `slack` holds the linear slacks at `x`, so the rows cost one `A·dx`
+    /// pass, written into `adx`. `tmp` is clobbered (a length-`n` buffer).
+    /// Allocation-free.
+    fn max_step(
+        &self,
+        x: &[f64],
+        dx: &[f64],
+        slack: &[f64],
+        adx: &mut [f64],
+        tmp: &mut [f64],
+    ) -> f64 {
         let mut alpha = 1.0_f64;
-        for i in 0..self.num_lin() {
-            let row = self.lin_row(i);
-            let deriv = vecops::dot(row, dx);
+        self.lin_apply_into(dx, adx);
+        for (&deriv, &sl) in adx.iter().zip(slack) {
             if deriv > 0.0 {
-                let slack = self.b[i] - vecops::dot(row, x);
-                alpha = alpha.min(0.99 * slack / deriv);
+                alpha = alpha.min(0.99 * sl / deriv);
             }
         }
         for q in self.quad {
@@ -498,17 +513,22 @@ impl Dense<'_> {
 
     /// Gradient and *lower-triangle* Hessian of the barrier function at a
     /// strictly feasible `x`, written into the scratch buffers (`s.grad`,
-    /// `s.hess`; `s.qgrad` and the row buffers are clobbered). The strict
-    /// upper triangle of `s.hess` is left unspecified — everything
-    /// downstream (Jacobi scaling, Cholesky) reads the lower triangle only.
+    /// `s.hess`; `s.qgrad` and `s.w` are clobbered). The strict upper
+    /// triangle of `s.hess` is left unspecified — everything downstream
+    /// (Jacobi scaling, Cholesky) reads the lower triangle only.
+    ///
+    /// `s.slack` must already hold the linear slacks at `x`: the barrier
+    /// loop carries them over from the line search that accepted `x`, so
+    /// the assembly makes no `Ax` pass of its own.
     ///
     /// The linear-constraint contribution `Aᵀ D A` (with `Dᵢᵢ = 1/sᵢ²`) is
     /// one blocked syrk-style rank-k update over the packed rows instead of
     /// `m` full-matrix rank-1 updates; this is the hot kernel of the whole
-    /// sweep. Allocation-free after the row buffers have grown.
+    /// sweep. Its span panels are register-blocked four output columns at
+    /// a time, bit-identical to a one-column sum (see
+    /// [`Matrix::syrk_lower_update_rows`]). Allocation-free.
     fn grad_hess_into(&self, t: f64, x: &[f64], s: &mut DimScratch) {
         let m = self.num_lin();
-        s.ensure_rows(m);
         let DimScratch {
             grad,
             hess,
@@ -526,13 +546,12 @@ impl Dense<'_> {
             hess.axpy_lower(t, p).expect("shape");
         }
         vecops::axpy(t, self.q0, grad);
-        // Linear constraints: slacks s = b − Ax, then grad += Aᵀ(1/s) and
-        // hess += Aᵀ diag(1/s²) A in one blocked pass.
+        // Linear constraints at the carried slacks s = b − Ax:
+        // grad += Aᵀ(1/s) and hess += Aᵀ diag(1/s²) A in one blocked pass.
         if m > 0 {
-            let slack = &mut slack[..m];
+            let slack = &slack[..m];
             let w = &mut w[..m];
-            self.slacks_into(x, slack);
-            for (wi, &sl) in w.iter_mut().zip(slack.iter()) {
+            for (wi, &sl) in w.iter_mut().zip(slack) {
                 *wi = 1.0 / sl;
             }
             self.lin_combine_into(w, qgrad);
@@ -554,6 +573,15 @@ impl Dense<'_> {
             hess.rank1_update_lower(inv * inv, qgrad);
             hess.axpy_lower(inv, &q.p).expect("shape");
         }
+    }
+}
+
+/// `ln[i] = ln(slack[i])` for every linear row: the barrier loop keeps
+/// these for the current iterate and for each line-search candidate. A
+/// slack ≤ 0 gets `−∞` or NaN, which [`Dense::barrier_value`] rejects.
+fn log_into(slack: &[f64], ln: &mut [f64]) {
+    for (l, &sl) in ln.iter_mut().zip(slack) {
+        *l = sl.ln();
     }
 }
 
@@ -1212,6 +1240,17 @@ fn phase1(
     outcome
 }
 
+/// The barrier method from a strictly feasible `x0` at parameter `t0`:
+/// damped Newton centering at each `t`, then `t ← µ·t`, until the gap
+/// bound `m/t` meets the tolerance or a `ctrl` exit fires.
+///
+/// The linear slacks and their logs live in the scratch for the whole
+/// run. They are computed once at `x0`; after that each accepted
+/// line-search candidate hands over the slacks and logs it was evaluated
+/// with. So a Newton step makes no `Ax` pass for the assembly, reads the
+/// line search's starting value off the cached logs, and sizes the
+/// fraction-to-boundary step with one `A·dx` pass. Every value is the one
+/// a fresh recomputation would give, bit for bit.
 fn run_barrier(
     opts: &SolverOptions,
     scratch: &mut SolverScratch,
@@ -1265,6 +1304,12 @@ fn run_barrier(
         dense.max_violation(&x) < 0.0,
         "barrier loop requires a strictly feasible start"
     );
+    // Slacks and logs at `x0`; from here on the accepted candidates hand
+    // theirs over.
+    let mlin = dense.num_lin();
+    s.ensure_rows(mlin);
+    dense.slacks_into(&x, &mut s.slack[..mlin]);
+    log_into(&s.slack[..mlin], &mut s.ln_slack[..mlin]);
 
     let mut t = t0;
     let mut outer = 0;
@@ -1304,19 +1349,27 @@ fn run_barrier(
             }
             // Backtracking line search on the barrier function, entered
             // at the fraction-to-boundary step so near-boundary starts
-            // get real candidates instead of infeasible ones.
-            let psi0 = dense
-                .barrier_value(t, &x)
-                .ok_or(CvxError::NumericalTrouble {
+            // get real candidates instead of infeasible ones. `s.w` (free
+            // after the syrk) takes `A·dx`, then each candidate's slacks;
+            // the accepted candidate's slacks and logs become the next
+            // step's by a swap.
+            let psi0 = dense.barrier_value(t, &x, &s.ln_slack[..mlin]).ok_or(
+                CvxError::NumericalTrouble {
                     phase: "line search",
-                })?;
-            let mut alpha = dense.max_step(&x, &s.dx, &mut s.qgrad);
+                },
+            )?;
+            let mut alpha =
+                dense.max_step(&x, &s.dx, &s.slack[..mlin], &mut s.w[..mlin], &mut s.qgrad);
             let mut accepted = false;
             while alpha > 1e-14 {
                 vecops::add_scaled_into(&x, alpha, &s.dx, &mut s.cand);
-                if let Some(psi) = dense.barrier_value(t, &s.cand) {
+                dense.slacks_into(&s.cand, &mut s.w[..mlin]);
+                log_into(&s.w[..mlin], &mut s.cand_ln[..mlin]);
+                if let Some(psi) = dense.barrier_value(t, &s.cand, &s.cand_ln[..mlin]) {
                     if psi <= psi0 - o.armijo * alpha * lambda2 {
                         std::mem::swap(&mut x, &mut s.cand);
+                        std::mem::swap(&mut s.slack, &mut s.w);
+                        std::mem::swap(&mut s.ln_slack, &mut s.cand_ln);
                         accepted = true;
                         break;
                     }

@@ -40,11 +40,17 @@ pub(crate) struct DimScratch {
     /// gap bound and healthy slacks instead of a boundary-pressed stall
     /// artifact that would poison every downstream warm start.
     pub center: Vec<f64>,
-    /// Constraint slacks `b − Ax` (one per linear row; grows to the row
-    /// count on first use).
+    /// Constraint slacks `b − Ax` at the barrier loop's current iterate
+    /// (one per linear row; grows to the row count on first use).
     pub slack: Vec<f64>,
-    /// Constraint weights `1/s` then `1/s²` (one per linear row).
+    /// `ln` of each entry of `slack`, carried with it.
+    pub ln_slack: Vec<f64>,
+    /// Constraint weights `1/s` then `1/s²` during the Newton assembly;
+    /// then `A·dx` and the line-search candidate's slacks (one per linear
+    /// row).
     pub w: Vec<f64>,
+    /// `ln` of the line-search candidate's slacks in `w`.
+    pub cand_ln: Vec<f64>,
     /// Cholesky factor storage, refactored every Newton step.
     pub chol: Cholesky,
 }
@@ -62,7 +68,9 @@ impl DimScratch {
             cand: vec![0.0; n],
             center: vec![0.0; n],
             slack: Vec::new(),
+            ln_slack: Vec::new(),
             w: Vec::new(),
+            cand_ln: Vec::new(),
             chol: Cholesky::zeroed(n),
         }
     }
@@ -72,14 +80,27 @@ impl DimScratch {
     /// row count.
     pub(crate) fn ensure_rows(&mut self, m: usize) {
         if self.slack.len() < m {
-            self.slack.resize(m, 0.0);
-            self.w.resize(m, 0.0);
+            for buf in [
+                &mut self.slack,
+                &mut self.ln_slack,
+                &mut self.w,
+                &mut self.cand_ln,
+            ] {
+                buf.resize(m, 0.0);
+            }
         }
     }
 
+    /// Scalars held by the four per-row buffers once grown: the slacks
+    /// and their logs at the iterate, and the weight/candidate buffer with
+    /// its logs.
+    fn row_scalars(&self) -> usize {
+        self.slack.len() + self.ln_slack.len() + self.w.len() + self.cand_ln.len()
+    }
+
     /// Scalar footprint of one dimension slot at creation (the up-front
-    /// size computation callers can use for capacity planning; the per-row
-    /// slack/weight buffers grow on first use and are reported by
+    /// size computation callers can use for capacity planning; the four
+    /// per-row buffers grow on first use and are reported by
     /// [`crate::SolverScratch::footprint_scalars`] once sized).
     pub(crate) const fn req(n: usize) -> StackReq {
         // grad + qgrad + jacobi + bs + dx + cand + center, plus
@@ -121,11 +142,12 @@ impl SolverScratch {
     }
 
     /// Total scalar footprint of the cached buffers (including the per-row
-    /// slack/weight buffers once they have grown to a problem's row count).
+    /// slack, log and weight buffers once they have grown to a problem's
+    /// row count).
     pub fn footprint_scalars(&self) -> usize {
         self.slots
             .iter()
-            .map(|(n, s)| DimScratch::req(*n).len() + s.slack.len() + s.w.len())
+            .map(|(n, s)| DimScratch::req(*n).len() + s.row_scalars())
             .sum()
     }
 
@@ -170,5 +192,19 @@ mod tests {
         s.for_dim(3);
         assert_eq!(s.footprint_scalars(), DimScratch::req(3).len());
         assert_eq!(DimScratch::req(3).len(), 7 * 3 + 3 * 9);
+    }
+
+    #[test]
+    fn footprint_counts_every_per_row_buffer() {
+        let mut s = SolverScratch::new();
+        s.for_dim(3).ensure_rows(10);
+        let slot = s.for_dim(3);
+        for buf in [&slot.slack, &slot.ln_slack, &slot.w, &slot.cand_ln] {
+            assert_eq!(buf.len(), 10);
+        }
+        assert_eq!(s.footprint_scalars(), DimScratch::req(3).len() + 4 * 10);
+        // Growing is monotone: a smaller problem keeps the buffers.
+        s.for_dim(3).ensure_rows(4);
+        assert_eq!(s.footprint_scalars(), DimScratch::req(3).len() + 4 * 10);
     }
 }

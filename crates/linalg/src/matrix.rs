@@ -201,14 +201,7 @@ impl Matrix {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output length mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = self.row(r);
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
-                acc += a * b;
-            }
-            *yr = acc;
-        }
+        self.matvec_impl(|i| i, x, y);
     }
 
     /// Transposed matrix–vector product `selfᵀ * x`.
@@ -254,10 +247,41 @@ impl Matrix {
     pub fn matvec_rows_into(&self, rows: &[usize], x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec_rows dimension mismatch");
         assert_eq!(y.len(), rows.len(), "matvec_rows output length mismatch");
-        for (yr, &r) in y.iter_mut().zip(rows) {
-            let row = self.row(r);
+        self.matvec_impl(|i| rows[i], x, y);
+    }
+
+    /// The one row-blocked matvec behind both [`Matrix::matvec_into`]
+    /// (identity mapping) and [`Matrix::matvec_rows_into`] (subset
+    /// mapping): `y[i] = row(base(i)) · x`.
+    ///
+    /// Four rows run at once, each in its own accumulator, so the four
+    /// dependent add chains overlap instead of one waiting on the
+    /// floating-point add latency. Every output is still the sequential sum
+    /// `((0 + a₀x₀) + a₁x₁) + …` of the scalar kernel, so blocking never
+    /// changes a bit.
+    fn matvec_impl<F: Fn(usize) -> usize>(&self, base: F, x: &[f64], y: &mut [f64]) {
+        let mut blocks = y.chunks_exact_mut(4);
+        let mut i = 0;
+        for yb in &mut blocks {
+            let rows = [
+                self.row(base(i)),
+                self.row(base(i + 1)),
+                self.row(base(i + 2)),
+                self.row(base(i + 3)),
+            ];
+            let mut acc = [0.0_f64; 4];
+            for (c, &xc) in x.iter().enumerate() {
+                acc[0] += rows[0][c] * xc;
+                acc[1] += rows[1][c] * xc;
+                acc[2] += rows[2][c] * xc;
+                acc[3] += rows[3][c] * xc;
+            }
+            yb.copy_from_slice(&acc);
+            i += 4;
+        }
+        for (j, yr) in blocks.into_remainder().iter_mut().enumerate() {
             let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
+            for (a, b) in self.row(base(i + j)).iter().zip(x) {
                 acc += a * b;
             }
             *yr = acc;
@@ -583,11 +607,18 @@ impl Matrix {
     /// original full-matrix kernel — and the two public entry points can
     /// never drift numerically (the row-subset proptests assert bitwise
     /// equality between them).
+    ///
+    /// Within a panel, each output row is register-blocked: four output
+    /// columns are summed at once over the panel's rows, each in its own
+    /// accumulator (see [`panel_update`]). Every entry's sum keeps the
+    /// panel-row order of the one-column kernel, so the result is
+    /// bit-identical to it while the independent add chains hide the
+    /// floating-point latency a single chain stalls on.
     fn syrk_lower_impl<F: Fn(usize) -> usize>(&mut self, a: &Matrix, m: usize, base: F, w: &[f64]) {
         const PANEL: usize = 8;
         let n = self.rows;
         let mut k = 0;
-        let mut coef = [0.0_f64; PANEL];
+        let mut panel: [&[f64]; PANEL] = [&[]; PANEL];
         while k < m {
             if w[k] == 0.0 {
                 k += 1;
@@ -600,27 +631,26 @@ impl Matrix {
             // Extend the panel over consecutive positions whose rows share
             // the same span.
             let mut end = k + 1;
-            while end < m
-                && end - k < PANEL
-                && w[end] != 0.0
-                && nonzero_span(a.row(base(end))) == Some((lo, hi))
+            while end < m && end - k < PANEL && w[end] != 0.0 && has_span(a.row(base(end)), lo, hi)
             {
                 end += 1;
             }
-            for r in lo..=hi {
-                for (j, c) in coef.iter_mut().enumerate().take(end - k) {
-                    let row = a.row(base(k + j));
-                    *c = w[k + j] * row[r];
-                }
-                let dst = &mut self.data[r * n + lo..r * n + r + 1];
-                for (ci, h) in dst.iter_mut().enumerate() {
-                    let col = lo + ci;
-                    let mut acc = 0.0;
-                    for (j, c) in coef.iter().enumerate().take(end - k) {
-                        acc += c * a.data[base(k + j) * a.cols + col];
-                    }
-                    *h += acc;
-                }
+            let np = end - k;
+            for (j, p) in panel.iter_mut().enumerate().take(np) {
+                *p = &a.row(base(k + j))[lo..=hi];
+            }
+            // One instantiation per panel length, so the loops over the
+            // panel's rows unroll with no bounds checks.
+            let (h, w, p) = (&mut self.data[..], &w[k..end], &panel[..np]);
+            match np {
+                1 => panel_update::<1>(h, n, lo, w, p),
+                2 => panel_update::<2>(h, n, lo, w, p),
+                3 => panel_update::<3>(h, n, lo, w, p),
+                4 => panel_update::<4>(h, n, lo, w, p),
+                5 => panel_update::<5>(h, n, lo, w, p),
+                6 => panel_update::<6>(h, n, lo, w, p),
+                7 => panel_update::<7>(h, n, lo, w, p),
+                _ => panel_update::<PANEL>(h, n, lo, w, p),
             }
             k = end;
         }
@@ -729,12 +759,62 @@ impl Matrix {
     }
 }
 
+/// Adds one span panel to the lower triangle of the row-major `n × n`
+/// matrix `h`: `h[lo + r][lo + c] += Σⱼ (w[j] · panel[j][r]) · panel[j][c]`
+/// for `c ≤ r`, where the `P` panel rows are sliced to their common span
+/// starting at column `lo`. Each entry's sum runs over `j` in order from
+/// `0.0`, then lands in `h` with one add. Four columns of an output row run
+/// at once in separate accumulators; the trailing one to three columns
+/// run one at a time in the same order.
+fn panel_update<const P: usize>(h: &mut [f64], n: usize, lo: usize, w: &[f64], panel: &[&[f64]]) {
+    let w: &[f64; P] = w.try_into().expect("panel weights");
+    let panel: &[&[f64]; P] = panel.try_into().expect("panel rows");
+    let mut coef = [0.0_f64; P];
+    for r in 0..panel[0].len() {
+        for j in 0..P {
+            coef[j] = w[j] * panel[j][r];
+        }
+        let start = (lo + r) * n + lo;
+        let mut blocks = h[start..=start + r].chunks_exact_mut(4);
+        let mut col = 0;
+        for dst in &mut blocks {
+            let mut acc = [0.0_f64; 4];
+            for j in 0..P {
+                let v = &panel[j][col..col + 4];
+                for q in 0..4 {
+                    acc[q] += coef[j] * v[q];
+                }
+            }
+            for (d, a) in dst.iter_mut().zip(acc) {
+                *d += a;
+            }
+            col += 4;
+        }
+        for (ci, d) in blocks.into_remainder().iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for j in 0..P {
+                acc += coef[j] * panel[j][col + ci];
+            }
+            *d += acc;
+        }
+    }
+}
+
 /// Inclusive `[first, last]` indices of the nonzero entries of `row`, or
 /// `None` when the row is entirely zero.
 fn nonzero_span(row: &[f64]) -> Option<(usize, usize)> {
     let lo = row.iter().position(|&v| v != 0.0)?;
     let hi = row.iter().rposition(|&v| v != 0.0)?;
     Some((lo, hi))
+}
+
+/// `nonzero_span(row) == Some((lo, hi))`, without the two scans: both
+/// ends are nonzero and everything outside them is zero. The zero tests
+/// fold without an early exit so they run as straight-line compares; the
+/// panel extension asks this once per constraint row.
+fn has_span(row: &[f64], lo: usize, hi: usize) -> bool {
+    let zero = |s: &[f64]| s.iter().fold(true, |z, &v| z & (v == 0.0));
+    row[lo] != 0.0 && row[hi] != 0.0 && zero(&row[..lo]) && zero(&row[hi + 1..])
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -944,6 +1024,209 @@ mod tests {
         for r in 0..4 {
             for c in 0..=r {
                 assert!((h[(r, c)] - expect[(r, c)]).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// Reference span-panel syrk: the one-column kernel the register-blocked
+    /// one must match bit for bit. Same panels (up to eight consecutive
+    /// positions with nonzero weight and one nonzero span); each lower
+    /// entry summed over the panel's rows in order from `0.0`, then added.
+    fn reference_syrk(h: &mut Matrix, a: &Matrix, rows: &[usize], w: &[f64]) {
+        let mut k = 0;
+        while k < rows.len() {
+            let span = nonzero_span(a.row(rows[k]));
+            let Some((lo, hi)) = span.filter(|_| w[k] != 0.0) else {
+                k += 1;
+                continue;
+            };
+            let mut end = k + 1;
+            while end < rows.len()
+                && end - k < 8
+                && w[end] != 0.0
+                && nonzero_span(a.row(rows[end])) == span
+            {
+                end += 1;
+            }
+            for r in lo..=hi {
+                for c in lo..=r {
+                    let mut acc = 0.0;
+                    for j in k..end {
+                        acc += (w[j] * a[(rows[j], r)]) * a[(rows[j], c)];
+                    }
+                    h[(r, c)] += acc;
+                }
+            }
+            k = end;
+        }
+    }
+
+    /// Reference row matvec: one sequential sum per row from `0.0`.
+    fn reference_matvec(a: &Matrix, rows: &[usize], x: &[f64]) -> Vec<f64> {
+        rows.iter()
+            .map(|&r| {
+                let mut acc = 0.0;
+                for (c, xc) in x.iter().enumerate() {
+                    acc += a[(r, c)] * xc;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// SplitMix64 step, for building structured cases from one seed.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A value in `[-2, 2)`, never zero.
+    fn nonzero_value(state: &mut u64) -> f64 {
+        let v = (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0;
+        if v == 0.0 {
+            1.0
+        } else {
+            v
+        }
+    }
+
+    /// A constraint-like `m × n` row set laid out the way the solver's
+    /// families are: runs of 1–12 rows sharing a nonzero span (crossing
+    /// the 8-row panel), some runs empty, some interior zeros, and weights
+    /// with zeros mixed in.
+    fn span_case(seed: u64, m: usize, n: usize) -> (Matrix, Vec<f64>) {
+        let mut st = seed;
+        let mut a = Matrix::zeros(m, n);
+        let mut i = 0;
+        while i < m {
+            let run = 1 + (splitmix(&mut st) % 12) as usize;
+            let lo = (splitmix(&mut st) % n as u64) as usize;
+            let hi = lo + (splitmix(&mut st) % (n - lo) as u64) as usize;
+            let empty = splitmix(&mut st).is_multiple_of(8);
+            for r in i..(i + run).min(m) {
+                if empty {
+                    continue;
+                }
+                for c in lo..=hi {
+                    let interior_zero = c != lo && c != hi && splitmix(&mut st).is_multiple_of(5);
+                    if !interior_zero {
+                        a[(r, c)] = nonzero_value(&mut st);
+                    }
+                }
+            }
+            i += run;
+        }
+        let w = (0..m)
+            .map(|_| {
+                if splitmix(&mut st).is_multiple_of(6) {
+                    0.0
+                } else {
+                    nonzero_value(&mut st).abs() * 2.0
+                }
+            })
+            .collect();
+        (a, w)
+    }
+
+    /// A square matrix with seeded entries, so `h += acc` is checked
+    /// against a nonzero starting value.
+    fn seeded_square(seed: u64, n: usize) -> Matrix {
+        let mut st = seed ^ 0x5eed;
+        Matrix::from_fn(n, n, |_, _| nonzero_value(&mut st))
+    }
+
+    fn assert_bits_eq(got: &Matrix, want: &Matrix) {
+        for (i, (g, e)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), e.to_bits(), "entry {i}: {g} vs {e}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The register-blocked syrk equals the one-column reference bit
+        /// for bit, over the full matrix and over a row subset, with row
+        /// counts that are not multiples of four and every span width.
+        #[test]
+        fn blocked_syrk_matches_reference_bitwise(
+            seed in 0u64..u64::MAX,
+            m in 0usize..40,
+            n in 1usize..=20,
+        ) {
+            let (a, w) = span_case(seed, m, n);
+            let all: Vec<usize> = (0..m).collect();
+            let mut want = seeded_square(seed, n);
+            let mut got = want.clone();
+            reference_syrk(&mut want, &a, &all, &w);
+            got.syrk_lower_update(&a, &w);
+            assert_bits_eq(&got, &want);
+
+            let mut st = seed.rotate_left(17);
+            let sub: Vec<usize> = all.iter().copied().filter(|_| !splitmix(&mut st).is_multiple_of(3)).collect();
+            let wsub: Vec<f64> = sub.iter().map(|&i| w[i]).collect();
+            let mut want = seeded_square(seed, n);
+            let mut got = want.clone();
+            reference_syrk(&mut want, &a, &sub, &wsub);
+            got.syrk_lower_update_rows(&a, &sub, &wsub);
+            assert_bits_eq(&got, &want);
+        }
+
+        /// The four-row matvec equals one sequential sum per row, for the
+        /// full matrix and for row subsets in any order.
+        #[test]
+        fn blocked_matvec_matches_reference_bitwise(
+            seed in 0u64..u64::MAX,
+            m in 0usize..40,
+            n in 1usize..=20,
+        ) {
+            let (a, _) = span_case(seed, m, n);
+            let mut st = seed.rotate_left(29);
+            let x: Vec<f64> = (0..n).map(|_| nonzero_value(&mut st)).collect();
+            let all: Vec<usize> = (0..m).collect();
+            let mut y = vec![7.0; m];
+            a.matvec_into(&x, &mut y);
+            let want = reference_matvec(&a, &all, &x);
+            proptest::prop_assert!(y.iter().zip(&want).all(|(g, e)| g.to_bits() == e.to_bits()));
+
+            let sub: Vec<usize> = (0..m).map(|_| (splitmix(&mut st) % m.max(1) as u64) as usize)
+                .take(m.saturating_sub(1)).collect();
+            let mut y = vec![7.0; sub.len()];
+            a.matvec_rows_into(&sub, &x, &mut y);
+            let want = reference_matvec(&a, &sub, &x);
+            proptest::prop_assert!(y.iter().zip(&want).all(|(g, e)| g.to_bits() == e.to_bits()));
+        }
+    }
+
+    /// Exhaustive over the shapes the solver's families run: every span
+    /// width of 1..n (the 9- and 17-wide families included) at both ends
+    /// of the row, panels of 1–8 rows and a 13-row run that splits into a
+    /// full panel and a partial one.
+    #[test]
+    fn blocked_syrk_every_width_and_panel_length() {
+        for n in [1usize, 4, 9, 17] {
+            for width in 1..=n {
+                for lo in [0, n - width] {
+                    for run in (1..=8).chain([13]) {
+                        let mut st = (n * 1000 + width * 100 + lo * 10 + run) as u64;
+                        let a = Matrix::from_fn(run, n, |_, c| {
+                            if (lo..lo + width).contains(&c) {
+                                nonzero_value(&mut st)
+                            } else {
+                                0.0
+                            }
+                        });
+                        let w: Vec<f64> = (0..run).map(|k| 0.5 + k as f64).collect();
+                        let rows: Vec<usize> = (0..run).collect();
+                        let mut want = seeded_square(st, n);
+                        let mut got = want.clone();
+                        reference_syrk(&mut want, &a, &rows, &w);
+                        got.syrk_lower_update(&a, &w);
+                        assert_bits_eq(&got, &want);
+                    }
+                }
             }
         }
     }
